@@ -64,8 +64,10 @@ from repro.workloads.generators import registrar_mus_family, wide_flat_dtd
 #: The warm-vs-cold speedup the service must clear (measured: >> 20x).
 _WARM_GATE = 5.0
 
-#: Aggregate-throughput factor for the coalesced 32-client batch.
+#: Aggregate-throughput factor for the coalesced 32-client batch, judged
+#: best-of-``_BATCH_REPEATS`` on both sides after one warm-up run each.
 _BATCH_GATE = 2.0
+_BATCH_REPEATS = 3
 
 _CLIENTS = 32
 
@@ -163,7 +165,13 @@ def _chain_workload():
 
 def test_coalesced_batch_throughput_vs_sequential_one_shots():
     """Gate 2: 32 concurrent clients through the batcher >= 2x aggregate
-    throughput over 32 sequential one-shot solves."""
+    throughput over 32 sequential one-shot solves.
+
+    Both sides are warmed up once, then timed alternately
+    ``_BATCH_REPEATS`` times (so a slow stretch of the host hits both
+    sides alike), and each side is judged by its best run.  Every
+    coalesced burst gets a fresh server and registry.
+    """
     dtd, sigma_text, phis = _chain_workload()
     dtd_text = dtd_to_string(dtd)
 
@@ -178,13 +186,8 @@ def test_coalesced_batch_throughput_vs_sequential_one_shots():
             assert cold.implies(phi)["implied"] is expected
         return time.perf_counter() - start
 
-    sequential = min(one_shots() for _ in range(2))
-
     # -- coalesced side: 32 concurrent clients against one server -------
-    server = CheckingServer(SessionRegistry())
-    host, port = server.start_background()
-
-    async def client(phi: str, expected: bool) -> None:
+    async def client(host: str, port: int, phi: str, expected: bool) -> None:
         reader, writer = await asyncio.open_connection(host, port)
         request = {
             "id": phi,
@@ -200,24 +203,37 @@ def test_coalesced_batch_throughput_vs_sequential_one_shots():
         assert response["ok"], response
         assert response["result"]["implied"] is expected, phi
 
-    async def burst() -> None:
+    async def burst(host: str, port: int) -> None:
         await asyncio.gather(
-            *(client(phi, expected) for phi, expected in phis)
+            *(client(host, port, phi, expected) for phi, expected in phis)
         )
 
-    try:
-        # Warm the session admission (parse + validate) but none of the
-        # 32 query answers, then time the full concurrent burst.
-        server.registry.session_for(dtd_text, sigma_text)
-        start = time.perf_counter()
-        asyncio.run(burst())
-        coalesced = time.perf_counter() - start
-        stats = server.stats_payload()["server"]
-        assert stats["errors"] == 0
-        assert stats["batches_coalesced"] >= 1, stats
-        assert stats["batch_width"] >= 2
-    finally:
-        server.close()
+    def coalesced_burst() -> float:
+        server = CheckingServer(SessionRegistry())
+        host, port = server.start_background()
+        try:
+            # Warm the session admission (parse + validate) but none of the
+            # 32 query answers, then time the full concurrent burst.
+            server.registry.session_for(dtd_text, sigma_text)
+            start = time.perf_counter()
+            asyncio.run(burst(host, port))
+            elapsed = time.perf_counter() - start
+            stats = server.stats_payload()["server"]
+            assert stats["errors"] == 0
+            assert stats["batches_coalesced"] >= 1, stats
+            assert stats["batch_width"] >= 2
+        finally:
+            server.close()
+        return elapsed
+
+    one_shots()
+    coalesced_burst()
+    sequential_runs, coalesced_runs = [], []
+    for _ in range(_BATCH_REPEATS):
+        sequential_runs.append(one_shots())
+        coalesced_runs.append(coalesced_burst())
+    sequential = min(sequential_runs)
+    coalesced = min(coalesced_runs)
 
     throughput_gain = sequential / coalesced
     assert throughput_gain >= _BATCH_GATE, (

@@ -18,26 +18,42 @@ from repro.regex.analysis import alphabet, can_derive_over, saturating_count
 from repro.regex.ast import TEXT_SYMBOL
 
 
+def _productive(dtd: DTD, banned: str | None = None) -> set[str]:
+    """Productive element types, treating ``banned`` as unproductive.
+
+    A worklist over a symbol -> users map: every type is tested once, and
+    again only when a symbol of its content model becomes productive.
+    """
+    candidates = [tau for tau in dtd.element_types if tau != banned]
+    users: dict[str, list[str]] = {}
+    for tau in candidates:
+        for symbol in alphabet(dtd.content[tau]):
+            users.setdefault(symbol, []).append(tau)
+    allowed: set[str] = {TEXT_SYMBOL}
+    worklist: list[str] = []
+    while True:
+        for tau in candidates:
+            if tau not in allowed and can_derive_over(dtd.content[tau], allowed):
+                allowed.add(tau)
+                worklist.append(tau)
+        if not worklist:
+            break
+        candidates = users.get(worklist.pop(), [])
+    allowed.discard(TEXT_SYMBOL)
+    return allowed
+
+
 def productive_types(dtd: DTD) -> frozenset[str]:
     """Element types that derive some finite tree.
 
     A type ``tau`` is productive iff ``P(tau)`` can derive a word over
     productive symbols (text is always derivable: a text node is a leaf).
-    Computed by the standard increasing fixpoint; terminates in at most
-    ``|E|`` rounds.
+    Computed by a worklist: each ``P(tau)`` is tested once, plus once per
+    symbol of ``P(tau)`` that becomes productive, so the cost is
+    ``O(sum_tau |P(tau)| * |alph(P(tau))|)`` — linear in ``|D|`` on a simple
+    DTD (Section 4.1), whose content models have at most two symbols.
     """
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        allowed = frozenset(productive) | {TEXT_SYMBOL}
-        for tau in dtd.element_types:
-            if tau in productive:
-                continue
-            if can_derive_over(dtd.content[tau], allowed):
-                productive.add(tau)
-                changed = True
-    return frozenset(productive)
+    return frozenset(_productive(dtd))
 
 
 def reachable_types(dtd: DTD) -> frozenset[str]:
@@ -69,6 +85,10 @@ def usable_types(dtd: DTD) -> frozenset[str]:
     usable: set[str] = {dtd.root}
     frontier = [dtd.root]
     allowed = productive | {TEXT_SYMBOL}
+    # One weight map for every probe, so an edge costs O(|P(tau)|). Only
+    # the probed symbol weighs 1, and only during its own probe: a stale 1
+    # would let a later probe succeed through the wrong symbol.
+    weights = dict.fromkeys(allowed, 0)
     while frontier:
         tau = frontier.pop()
         expr = dtd.content[tau]
@@ -76,11 +96,11 @@ def usable_types(dtd: DTD) -> frozenset[str]:
             if symbol in usable or symbol not in productive:
                 continue
             # symbol is usable below tau iff some word of P(tau) over
-            # productive symbols contains it: check derivability of a word
-            # using productive symbols where `symbol` itself is permitted.
-            weights = {s: 0 for s in allowed}
+            # productive symbols contains it: the maximum weight of such a
+            # word is >= 1 when only `symbol` weighs anything.
             weights[symbol] = 1
             count = saturating_count(expr, weights)
+            weights[symbol] = 0
             if count is not None and count >= 1:
                 usable.add(symbol)
                 frontier.append(symbol)
@@ -171,19 +191,7 @@ def must_occur(dtd: DTD, tau: str) -> bool:
     Vacuously true when the DTD has no valid tree. Used by workload
     generators to build families where constraints on ``tau`` are
     unavoidable. Computed as: no tree avoiding ``tau`` exists, i.e. the
-    root is unproductive once ``tau`` is removed from the alphabet.
+    root is unproductive once ``tau`` is removed from the alphabet (the
+    productivity worklist with ``tau`` banned).
     """
-    if tau == dtd.root:
-        return True
-    restricted: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        allowed = frozenset(restricted) | {TEXT_SYMBOL}
-        for sigma in dtd.element_types:
-            if sigma in restricted or sigma == tau:
-                continue
-            if can_derive_over(dtd.content[sigma], allowed):
-                restricted.add(sigma)
-                changed = True
-    return dtd.root not in restricted
+    return tau == dtd.root or dtd.root not in _productive(dtd, banned=tau)

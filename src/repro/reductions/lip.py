@@ -159,9 +159,9 @@ def extract_binary_solution(
     """
     n = reduction.instance.num_cols
     solution = [0] * n
-    for (i, j), z_name in reduction.z_type.items():
-        del i
-        if tree.ext(z_name):
+    present = tree.label_index()
+    for (_i, j), z_name in reduction.z_type.items():
+        if z_name in present:
             solution[j - 1] = 1
     return tuple(solution)
 

@@ -130,6 +130,34 @@ class XMLTree:
         """``ext(tau)``: all elements labelled ``label``, in document order."""
         return [node for node in self.elements() if node.label == label]
 
+    def label_index(self) -> dict[str, list[Element]]:
+        """``ext(tau)`` for every label at once, from a single traversal.
+
+        Maps each element label to its elements in document order, so
+        ``index.get(tau, [])`` equals ``ext(tau)``. The index is a snapshot:
+        it is never cached on the (mutable) tree, so callers build it once
+        per query and must not keep it across structural edits. Attribute
+        values are read through the element objects and stay live.
+
+        >>> from repro.xmltree.builder import element
+        >>> t = XMLTree(element("db", element("a"), element("b"), element("a")))
+        >>> {label: len(nodes) for label, nodes in t.label_index().items()}
+        {'db': 1, 'a': 2, 'b': 1}
+        """
+        index: dict[str, list[Element]] = {}
+        stack: list[Element] = [self.root]
+        while stack:
+            node = stack.pop()
+            bucket = index.get(node.label)
+            if bucket is None:
+                index[node.label] = [node]
+            else:
+                bucket.append(node)
+            for child in reversed(node.children):
+                if isinstance(child, Element):
+                    stack.append(child)
+        return index
+
     def attr_values(self, label: str, attr: str) -> list[str]:
         """The multiset ``[x.l for x in ext(tau)]`` in document order.
 
