@@ -4,8 +4,9 @@ The diagnostics workloads — the MUS deletion filter and the redundancy
 audit — probe many constraint subsets of *one* specification.  The
 toggled engine (DESIGN.md section 6) assembles ``Psi(D, Sigma ∪ ¬Sigma)``
 once and serves every probe by row-bound flips on persistent solver
-state; the rebuild path (``toggled=False``, the pre-toggle
-implementation) re-encodes and re-assembles per probe through full
+state; the rebuild path (``_redundant_constraints_rebuild`` /
+``_minimal_unsat_core_rebuild``, the pre-toggle implementation, called
+directly) re-encodes and re-assembles per probe through full
 ``check_consistency``/``implies`` calls.
 
 The headline gate: **>= 3x wall-clock speedup for the toggled redundancy
@@ -23,10 +24,13 @@ import pytest
 
 from repro.analysis.diagnostics import (
     DiagnosticsStats,
+    _minimal_unsat_core_rebuild,
+    _redundant_constraints_rebuild,
     diagnose,
     mus,
     redundant_constraints,
 )
+from repro.checkers.config import DEFAULT_CONFIG
 from repro.constraints.parser import parse_constraints
 from repro.dtd.model import DTD
 from repro.workloads.generators import registrar_mus_family
@@ -95,8 +99,12 @@ def test_toggled_audit(benchmark, n):
 def test_rebuild_audit_ablation(benchmark, n):
     """Rebuild ablation of the same audit, for the comparison table."""
     dtd, sigma, expected = _audit_keys_negkeys(n)
-    redundant = benchmark(redundant_constraints, dtd, sigma, toggled=False)
+    stats = DiagnosticsStats()
+    redundant = benchmark(
+        _redundant_constraints_rebuild, dtd, sigma, DEFAULT_CONFIG, stats
+    )
     assert len(redundant) == expected
+    assert stats.method == "rebuild"
 
 
 @pytest.mark.parametrize("n", [16])
@@ -124,38 +132,49 @@ def test_diagnose_single_assembly_end_to_end():
 
 
 def _run_audits(toggled: bool) -> tuple[float, list[list[str]], list[DiagnosticsStats]]:
-    """(best-of-3 seconds, canonical answers, per-call stats)."""
-    best = float("inf")
+    """(seconds for one pass over the audit cases, canonical answers,
+    per-call stats)."""
     answers: list[list[str]] = []
     stats_list: list[DiagnosticsStats] = []
-    for _ in range(3):
-        answers = []
-        stats_list = []
-        start = time.perf_counter()
-        for dtd, sigma, _ in _AUDIT_CASES:
-            stats = DiagnosticsStats()
-            answers.append(
-                _canonical(
-                    redundant_constraints(dtd, sigma, toggled=toggled, stats=stats)
-                )
+    start = time.perf_counter()
+    for dtd, sigma, _ in _AUDIT_CASES:
+        stats = DiagnosticsStats()
+        if toggled:
+            redundant = redundant_constraints(dtd, sigma, stats=stats)
+        else:
+            redundant = _redundant_constraints_rebuild(
+                dtd, sigma, DEFAULT_CONFIG, stats
             )
-            stats_list.append(stats)
-        best = min(best, time.perf_counter() - start)
-    return best, answers, stats_list
+        answers.append(_canonical(redundant))
+        stats_list.append(stats)
+    return time.perf_counter() - start, answers, stats_list
+
+
+#: Timed passes per side of the 3x gate (after one warm-up pass each).
+_AUDIT_REPEATS = 5
 
 
 def test_toggled_redundancy_audit_at_least_3x_rebuild():
     """The acceptance gate: toggling rows on one assembled system runs the
     redundancy audit >= 3x faster than re-encoding per subset.
 
-    Measured margin on the reference container is ~3.3-3.6x, so the 3x
-    gate has headroom against scheduler noise.  The mechanism is pinned
-    alongside the clock: both paths return identical redundant sets, the
-    expected count per family, and the toggled path performs exactly one
-    base assembly per call while probing |Sigma| subsets.
+    Both sides are warmed up once, then timed alternately
+    ``_AUDIT_REPEATS`` times (so a slow stretch of the host hits both
+    sides alike), and each side is judged by its best pass.  The
+    mechanism is pinned alongside the clock: both paths return identical
+    redundant sets, the expected count per family, and the toggled path
+    performs exactly one base assembly per call while probing |Sigma|
+    subsets.
     """
-    toggled_time, toggled_answers, toggled_stats = _run_audits(toggled=True)
-    rebuild_time, rebuild_answers, rebuild_stats = _run_audits(toggled=False)
+    _run_audits(toggled=True)
+    _run_audits(toggled=False)
+    toggled_times, rebuild_times = [], []
+    for _ in range(_AUDIT_REPEATS):
+        elapsed, toggled_answers, toggled_stats = _run_audits(toggled=True)
+        toggled_times.append(elapsed)
+        elapsed, rebuild_answers, rebuild_stats = _run_audits(toggled=False)
+        rebuild_times.append(elapsed)
+    toggled_time, rebuild_time = min(toggled_times), min(rebuild_times)
 
     assert toggled_answers == rebuild_answers
     for (_, sigma, expected), answer in zip(_AUDIT_CASES, toggled_answers):
@@ -182,7 +201,11 @@ def test_toggled_mus_matches_rebuild_and_saves_assemblies():
     for dtd, sigma in _MUS_CASES:
         stats = DiagnosticsStats()
         core = mus(dtd, sigma, method="deletion", stats=stats)
-        oracle = mus(dtd, sigma, method="deletion", toggled=False)
+        oracle_stats = DiagnosticsStats()
+        oracle = _minimal_unsat_core_rebuild(
+            dtd, sigma, DEFAULT_CONFIG, oracle_stats, "deletion"
+        )
+        assert oracle_stats.method == "rebuild"
         assert _canonical(core) == _canonical(oracle)
         assert stats.assemblies == 1
         assert stats.probes == len(sigma) + 1

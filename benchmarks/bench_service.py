@@ -247,12 +247,20 @@ def test_coalesced_batch_throughput_vs_sequential_one_shots():
 #: uncontended warm p50 (plus a 5ms floor absorbing event-loop noise on
 #: sub-millisecond baselines).
 _OVERLOAD_GATE = 2.0
+#: Timed rounds per side of the shed-mode gate (after one warm-up each).
+_OVERLOAD_REPEATS = 3
 
 
 def test_shed_mode_keeps_admitted_request_latency_bounded():
     """Gate 3: under a client flood with ``max_inflight=1``, admitted
     requests answer at uncontended speed (within 2x) while the rest shed
-    with structured ``overloaded`` + ``retry_after`` answers."""
+    with structured ``overloaded`` + ``retry_after`` answers.
+
+    Both sides are warmed up once, then measured alternately
+    ``_OVERLOAD_REPEATS`` times (so a slow stretch of the host hits both
+    sides alike), each round on a fresh server whose queries are all
+    first-ask solves; each side is judged by its best (lowest) median.
+    """
     dtd = wide_flat_dtd(9)
     sigma_text = "\n".join(f"t{i}.x <= t{i + 1}.x" for i in range(7))
     dtd_text = dtd_to_string(dtd)
@@ -264,11 +272,6 @@ def test_shed_mode_keeps_admitted_request_latency_bounded():
         for j in range(8)
         if i != j
     ]
-
-    server = CheckingServer(
-        SessionRegistry(), max_inflight=1, queue_depth=1
-    )
-    host, port = server.start_background()
 
     def request_for(index: int) -> tuple[dict, bool]:
         phi, expected = pairs[index % len(pairs)]
@@ -290,8 +293,8 @@ def test_shed_mode_keeps_admitted_request_latency_bounded():
         line = await reader.readline()
         return time.perf_counter() - start, json.loads(line)
 
-    async def uncontended(indices):
-        reader, writer = await asyncio.open_connection(host, port)
+    async def uncontended(address, indices):
+        reader, writer = await asyncio.open_connection(*address)
         samples = []
         for index in indices:
             request, expected = request_for(index)
@@ -302,9 +305,9 @@ def test_shed_mode_keeps_admitted_request_latency_bounded():
         writer.close()
         return samples
 
-    async def flood(indices):
+    async def flood(address, indices):
         connections = [
-            await asyncio.open_connection(host, port) for _ in indices
+            await asyncio.open_connection(*address) for _ in indices
         ]
 
         async def one(connection, index):
@@ -323,43 +326,66 @@ def test_shed_mode_keeps_admitted_request_latency_bounded():
             *(one(conn, idx) for conn, idx in zip(connections, indices))
         )
 
-    try:
-        # Uncontended warm p50: sequential distinct solves after warmup.
-        server.registry.session_for(dtd_text, sigma_text)
-        warm_samples = asyncio.run(uncontended(range(12)))
-        warm_p50 = statistics.median(warm_samples[2:])
-
-        # Shed mode: bursts of 8 simultaneous clients against cap 1.
-        admitted, shed = [], 0
-        next_index = 12
-        for _ in range(20):
-            outcomes = asyncio.run(
-                flood(range(next_index, next_index + 8))
-            )
-            next_index += 8
-            for kind, elapsed in outcomes:
-                if kind == "admitted":
-                    admitted.append(elapsed)
-                else:
-                    shed += 1
-            if len(admitted) >= 8:
-                break
-        assert shed > 0, "the flood never triggered shedding"
-        assert admitted, "shedding starved every request"
-        stats = server.stats_payload()["server"]
-        assert stats["requests_shed"] == shed
-        assert stats["errors"] == 0, "sheds must not count as errors"
-
-        admitted_p50 = statistics.median(admitted)
-        bound = _OVERLOAD_GATE * max(warm_p50, 0.005)
-        assert admitted_p50 <= bound, (
-            f"shed-mode admitted p50 {admitted_p50 * 1000:.1f}ms vs "
-            f"uncontended warm p50 {warm_p50 * 1000:.1f}ms: exceeds "
-            f"{_OVERLOAD_GATE}x (+5ms floor) — admission control is not "
-            "keeping the queue ahead of admitted requests short"
+    def fresh_server() -> tuple[CheckingServer, tuple]:
+        server = CheckingServer(
+            SessionRegistry(), max_inflight=1, queue_depth=1
         )
-    finally:
-        server.close()
+        address = server.start_background()
+        server.registry.session_for(dtd_text, sigma_text)
+        return server, address
+
+    def warm_round() -> float:
+        """Uncontended warm p50: sequential distinct solves."""
+        server, address = fresh_server()
+        try:
+            samples = asyncio.run(uncontended(address, range(12)))
+        finally:
+            server.close()
+        return statistics.median(samples[2:])
+
+    def shed_round() -> float:
+        """Admitted p50 under bursts of 8 simultaneous clients vs cap 1."""
+        server, address = fresh_server()
+        try:
+            admitted, shed = [], 0
+            next_index = 12
+            for _ in range(20):
+                outcomes = asyncio.run(
+                    flood(address, range(next_index, next_index + 8))
+                )
+                next_index += 8
+                for kind, elapsed in outcomes:
+                    if kind == "admitted":
+                        admitted.append(elapsed)
+                    else:
+                        shed += 1
+                if len(admitted) >= 8:
+                    break
+            assert shed > 0, "the flood never triggered shedding"
+            assert admitted, "shedding starved every request"
+            stats = server.stats_payload()["server"]
+            assert stats["requests_shed"] == shed
+            assert stats["errors"] == 0, "sheds must not count as errors"
+        finally:
+            server.close()
+        return statistics.median(admitted)
+
+    warm_round()
+    shed_round()
+    warm_runs, admitted_runs = [], []
+    for _ in range(_OVERLOAD_REPEATS):
+        warm_runs.append(warm_round())
+        admitted_runs.append(shed_round())
+    warm_p50 = min(warm_runs)
+    admitted_p50 = min(admitted_runs)
+
+    bound = _OVERLOAD_GATE * max(warm_p50, 0.005)
+    assert admitted_p50 <= bound, (
+        f"shed-mode admitted p50 {admitted_p50 * 1000:.1f}ms vs "
+        f"uncontended warm p50 {warm_p50 * 1000:.1f}ms: exceeds "
+        f"{_OVERLOAD_GATE}x (+5ms floor) — admission control is not "
+        "keeping the queue ahead of admitted requests short"
+    )
 
 
 #: Warm HTTP p50 must stay within this factor of the warm line p50

@@ -20,8 +20,6 @@ from repro.analysis.diagnostics import (
     DiagnosticsReport,
     DiagnosticsStats,
     diagnose,
-    minimal_inconsistent_subset,
-    minimal_unsat_core,
     mus,
     redundant_constraints,
 )
@@ -41,8 +39,6 @@ __all__ = [
     "ExtentBounds",
     "extent_bounds",
     "mus",
-    "minimal_inconsistent_subset",
-    "minimal_unsat_core",
     "redundant_constraints",
     "DiagnosticsReport",
     "DiagnosticsStats",

@@ -10,9 +10,7 @@ XML specifications (Section 6). Two concrete tools toward that:
   QuickXplain divide-and-conquer (DESIGN.md section 7) — probe counts
   scale with the *core* size rather than ``|Sigma|``;
   ``method="deletion"`` is the classic linear filter, exactly
-  ``|Sigma|`` probes, kept as the reference.  The historical
-  ``minimal_unsat_core`` / ``minimal_inconsistent_subset`` pair remains
-  as deprecation shims over this single entry point.
+  ``|Sigma|`` probes, kept as the reference.
 * :func:`redundant_constraints` — constraints implied by the rest of the
   specification (over the DTD): safe to drop, or a hint that the author
   expected them to add strength they do not add. One implication probe per
@@ -27,13 +25,16 @@ implication, one negation added).  The default engine therefore assembles
 registered as toggleable (DESIGN.md section 6), and serves each probe by
 row-bound flips on the persistent solver state — one base assembly per
 call (per worker, when parallel) instead of one per subset.
-``toggled=False`` selects the re-encode-per-subset reference path, kept
-as the differential oracle (:mod:`tests.test_diagnostics_differential`)
-and the benchmark baseline (``benchmarks/bench_diagnostics.py``).
 
 Both operate on the decidable unary classes; specifications outside them
-(multi-attribute constraints) automatically fall back to the rebuild path,
-which dispatches through the checkers' own fragment logic.
+(multi-attribute constraints), and unions whose set-representation block
+exceeds the cap, automatically fall back to the rebuild engines
+(``_diagnose_rebuild``, ``_minimal_unsat_core_rebuild``,
+``_redundant_constraints_rebuild``: one full checker call per probed
+subset, dispatching through the checkers' own fragment logic).  Called
+directly, the same engines are the differential oracle
+(``tests/test_diagnostics_differential.py``) and the benchmark baseline
+(``benchmarks/bench_diagnostics.py``).
 
 >>> from repro.dtd.model import DTD
 >>> from repro.constraints.parser import parse_constraints
@@ -51,7 +52,6 @@ True
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from collections.abc import Callable, Iterable
 
@@ -174,19 +174,28 @@ class DiagnosticsStats:
         }
 
 
-def _use_toggles(
-    toggled: bool, sigma: list[Constraint], config: CheckerConfig
-) -> bool:
-    """Route to the toggled engine?  Requires unary constraints (the only
-    encodable fragment) and the incremental solver core — a workspace is
-    persistent bound-patched state, so ``config.incremental=False`` (the
-    from-scratch ablation) selects the rebuild path, whose checker calls
-    honor the flag."""
-    return (
-        toggled
-        and config.incremental
-        and all(phi.is_unary() for phi in sigma)
-    )
+def _use_toggles(sigma: list[Constraint]) -> bool:
+    """Route to the toggled engine?  Requires unary constraints, the only
+    fragment the union encoding covers."""
+    return all(phi.is_unary() for phi in sigma)
+
+
+def _toggle_probe(
+    dtd: DTD,
+    sigma: list[Constraint],
+    config: CheckerConfig,
+    with_negations: bool,
+    stats: "DiagnosticsStats",
+) -> "_ToggleProbe | None":
+    """The union probe over ``sigma``; ``None`` routes the call to the
+    rebuild engine (non-unary constraints, or a union whose
+    set-representation block exceeds the cap)."""
+    if not _use_toggles(sigma):
+        return None
+    try:
+        return _ToggleProbe(dtd, sigma, config, with_negations, stats)
+    except ComplexityLimitError:
+        return None
 
 
 class _ToggleProbe:
@@ -443,7 +452,8 @@ def _redundancy_filter_parallel(
     config: CheckerConfig,
     stats: DiagnosticsStats,
 ) -> list[Constraint]:
-    """Fan the per-constraint audit probes across a worker pool.
+    """Fan the per-constraint audit probes across a worker pool
+    (sequentially on ``probe`` when ``config.jobs`` < 2).
 
     Each worker owns a full probe (its own assembly and workspace — the
     single-owner rule of DESIGN.md section 7), so ``stats.assemblies``
@@ -485,16 +495,9 @@ def mus(
     config: CheckerConfig | None = None,
     *,
     method: str = "quickxplain",
-    toggled: bool = True,
     stats: DiagnosticsStats | None = None,
 ) -> list[Constraint]:
     """A minimal inconsistent subset of ``Sigma`` (a MUS).
-
-    The single MUS entry point: the historical
-    :func:`minimal_unsat_core` / :func:`minimal_inconsistent_subset`
-    pair (and the internal rebuild variant) are thin deprecation shims
-    over this call — same computation, ``method`` and ``toggled`` select
-    the filter and the engine.
 
     Requires the full set to be inconsistent with the DTD (raises
     :class:`InvalidConstraintError` otherwise). The result may be empty
@@ -506,12 +509,12 @@ def mus(
     for a core of size ``k`` — while ``"deletion"`` is the classic linear
     filter, exactly ``|Sigma|`` probes.  Both return minimal cores; on
     specifications with several distinct MUSes they may return different
-    (individually minimal) ones.  ``toggled=False`` selects the
-    rebuild-per-subset reference path (one full checker call per probe);
-    the default probes constraint subsets by row toggles on a single
-    assembled system.  ``stats``, when supplied, is filled with the
-    call's work counters — ``mus_probes`` isolates the filter's probe
-    count, the number the QuickXplain benchmark gate compares.
+    (individually minimal) ones.  Constraint subsets are probed by row
+    toggles on a single assembled system (outside the unary fragment, by
+    one full checker call per probe).  ``stats``, when supplied, is
+    filled with the call's work counters — ``mus_probes`` isolates the
+    filter's probe count, the number the QuickXplain benchmark gate
+    compares.
 
     >>> from repro.workloads.examples import teachers_dtd_d1, sigma1_constraints
     >>> stats = DiagnosticsStats()
@@ -526,68 +529,16 @@ def mus(
     stats = stats if stats is not None else DiagnosticsStats()
     stats.mus_method = method
     current = list(constraints)
-    if _use_toggles(toggled, current, config):
-        try:
-            probe = _ToggleProbe(
-                dtd, current, config, with_negations=False, stats=stats
-            )
-        except ComplexityLimitError:
-            probe = None  # union setrep block over cap: rebuild instead
-        if probe is not None:
-            if probe.consistent(probe.active_parts(current)):
-                raise InvalidConstraintError(
-                    "the specification is consistent; there is no inconsistent subset"
-                )
-            if not dtd_has_valid_tree(dtd):
-                return []
-            return _minimal_core(_probe_check(probe), current, method)
-    return _minimal_unsat_core_rebuild(dtd, current, config, stats, method)
-
-
-def minimal_unsat_core(
-    dtd: DTD,
-    constraints: Iterable[Constraint],
-    config: CheckerConfig | None = None,
-    *,
-    method: str = "quickxplain",
-    toggled: bool = True,
-    stats: DiagnosticsStats | None = None,
-) -> list[Constraint]:
-    """Deprecated alias for :func:`mus` (QuickXplain-default "quickxplain"
-    filter).  Same computation, same results; new code calls
-    ``mus(dtd, sigma, method=...)`` directly."""
-    warnings.warn(
-        "minimal_unsat_core is deprecated; use mus(dtd, constraints, "
-        "method='quickxplain') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return mus(
-        dtd, constraints, config, method=method, toggled=toggled, stats=stats
-    )
-
-
-def minimal_inconsistent_subset(
-    dtd: DTD,
-    constraints: Iterable[Constraint],
-    config: CheckerConfig | None = None,
-    *,
-    method: str = "deletion",
-    toggled: bool = True,
-    stats: DiagnosticsStats | None = None,
-) -> list[Constraint]:
-    """Deprecated alias for :func:`mus` with the linear deletion filter as
-    the default ``method`` — the historical behaviour of this entry point.
-    New code calls ``mus(dtd, sigma, method='deletion')`` directly."""
-    warnings.warn(
-        "minimal_inconsistent_subset is deprecated; use mus(dtd, "
-        "constraints, method='deletion') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return mus(
-        dtd, constraints, config, method=method, toggled=toggled, stats=stats
-    )
+    probe = _toggle_probe(dtd, current, config, False, stats)
+    if probe is None:
+        return _minimal_unsat_core_rebuild(dtd, current, config, stats, method)
+    if probe.consistent(probe.active_parts(current)):
+        raise InvalidConstraintError(
+            "the specification is consistent; there is no inconsistent subset"
+        )
+    if not dtd_has_valid_tree(dtd):
+        return []
+    return _minimal_core(_probe_check(probe), current, method)
 
 
 def _minimal_unsat_core_rebuild(
@@ -618,37 +569,25 @@ def redundant_constraints(
     constraints: Iterable[Constraint],
     config: CheckerConfig | None = None,
     *,
-    toggled: bool = True,
     stats: DiagnosticsStats | None = None,
 ) -> list[Constraint]:
     """Constraints implied by the remaining ones over the DTD.
 
     Note the subtlety: redundancy here is *relative to the whole rest*, so
     two mutually-implied constraints can both be reported (either one may
-    be dropped, not both).  The toggled default decides each implication
-    by activating the rest's rows plus the query's negated rows on the one
-    assembled union system; ``toggled=False`` re-encodes per query.  The
-    per-constraint probes are independent, so ``config.jobs > 1`` fans
-    them across a worker pool (each worker on its own assembly) with
-    identical verdicts.
+    be dropped, not both).  Each implication is decided by activating the
+    rest's rows plus the query's negated rows on the one assembled union
+    system.  The per-constraint probes are independent, so
+    ``config.jobs > 1`` fans them across a worker pool (each worker on its
+    own assembly) with identical verdicts.
     """
     config = config or DEFAULT_CONFIG
     stats = stats if stats is not None else DiagnosticsStats()
     sigma = list(constraints)
-    if _use_toggles(toggled, sigma, config):
-        try:
-            probe = _ToggleProbe(
-                dtd, sigma, config, with_negations=True, stats=stats
-            )
-        except ComplexityLimitError:
-            probe = None  # union setrep block over cap: rebuild instead
-        if probe is not None:
-            if config.jobs > 1:
-                return _redundancy_filter_parallel(
-                    dtd, probe, sigma, config, stats
-                )
-            return _redundancy_filter(probe, sigma)
-    return _redundant_constraints_rebuild(dtd, sigma, config, stats)
+    probe = _toggle_probe(dtd, sigma, config, True, stats)
+    if probe is None:
+        return _redundant_constraints_rebuild(dtd, sigma, config, stats)
+    return _redundancy_filter_parallel(dtd, probe, sigma, config, stats)
 
 
 def _redundant_constraints_rebuild(
@@ -704,7 +643,6 @@ def diagnose(
     constraints: Iterable[Constraint],
     config: CheckerConfig | None = None,
     *,
-    toggled: bool = True,
     mus_method: str = "quickxplain",
 ) -> DiagnosticsReport:
     """Full specification health check.
@@ -715,9 +653,9 @@ def diagnose(
     reference filter).  The whole report — the initial consistency
     verdict plus every MUS/redundancy probe — is served from one
     assembled system (``report.stats.assemblies == 1`` on the sequential
-    toggled path); ``toggled=False`` is the re-encode-per-subset
-    reference, which drives the *same* filters through full checker
-    calls.  ``config.jobs > 1`` fans the redundancy audit's independent
+    toggled path; :func:`_diagnose_rebuild`, the re-encode-per-subset
+    reference, drives the *same* filters through full checker calls).
+    ``config.jobs > 1`` fans the redundancy audit's independent
     probes across a worker pool (one assembly per worker); the MUS
     filter stays sequential — each of its probes depends on the answers
     before it.
@@ -730,30 +668,18 @@ def diagnose(
         return DiagnosticsReport(
             consistent=False, dtd_satisfiable=False, stats=stats
         )
-    if _use_toggles(toggled, sigma, config):
-        try:
-            probe = _ToggleProbe(
-                dtd, sigma, config, with_negations=True, stats=stats
-            )
-        except ComplexityLimitError:
-            probe = None  # union setrep block over cap: rebuild instead
-        if probe is not None:
-            if probe.consistent(probe.active_parts(sigma)):
-                redundant = (
-                    _redundancy_filter_parallel(dtd, probe, sigma, config, stats)
-                    if config.jobs > 1
-                    else _redundancy_filter(probe, sigma)
-                )
-                return DiagnosticsReport(
-                    consistent=True, redundant=redundant, stats=stats
-                )
-            stats.mus_method = mus_method
-            return DiagnosticsReport(
-                consistent=False,
-                mus=_minimal_core(_probe_check(probe), sigma, mus_method),
-                stats=stats,
-            )
-    return _diagnose_rebuild(dtd, sigma, config, stats, mus_method)
+    probe = _toggle_probe(dtd, sigma, config, True, stats)
+    if probe is None:
+        return _diagnose_rebuild(dtd, sigma, config, stats, mus_method)
+    if probe.consistent(probe.active_parts(sigma)):
+        redundant = _redundancy_filter_parallel(dtd, probe, sigma, config, stats)
+        return DiagnosticsReport(consistent=True, redundant=redundant, stats=stats)
+    stats.mus_method = mus_method
+    return DiagnosticsReport(
+        consistent=False,
+        mus=_minimal_core(_probe_check(probe), sigma, mus_method),
+        stats=stats,
+    )
 
 
 def _diagnose_rebuild(

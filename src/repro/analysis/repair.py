@@ -25,7 +25,7 @@ therefore one re-solve on the persistent workspace
 The search is the implicit-hitting-set loop, MUS-guided: whenever a
 candidate edit set probes infeasible, the engine shrinks a constraint-MUS
 of the edited spec with the **same** QuickXplain/deletion filters that
-power :func:`~repro.analysis.diagnostics.minimal_unsat_core` (deleting a
+power :func:`~repro.analysis.diagnostics.mus` (deleting a
 constraint *is* one of the edits, so the filters run unchanged over the
 edit oracle — the divide-and-conquer is exactly dual), then widens it to
 a *core*: the edits that could neutralize that MUS.  A repair must hit
@@ -51,7 +51,7 @@ True
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from repro.analysis.diagnostics import _minimal_core, _require_mus_method, _use_toggles
 from repro.checkers.config import DEFAULT_CONFIG, CheckerConfig
@@ -850,6 +850,83 @@ def _resolve_weights(
     return resolved
 
 
+def _toggle_oracle(
+    dtd: DTD,
+    sigma: list[Constraint],
+    universe: list[_Candidate],
+    config: CheckerConfig,
+    stats: RepairStats,
+) -> Callable[[frozenset[int]], bool] | None:
+    """The toggle-probe edit-set oracle on one assembled system; ``None``
+    outside the unary fragment or when the union's set-representation
+    block exceeds the cap (the caller then falls back to rebuild)."""
+    if not _use_toggles(sigma):
+        return None
+    try:
+        probe = _RepairProbe(dtd, sigma, config, stats)
+    except ComplexityLimitError:
+        return None
+    compiled = [
+        _Candidate(
+            action=candidate.action,
+            removes=candidate.removes,
+            sites=(
+                probe.site_indices(
+                    candidate.action.element_type, candidate.action.child
+                )
+                if isinstance(candidate.action, LoosenChild)
+                else frozenset()
+            ),
+            drops=candidate.drops,
+        )
+        for candidate in universe
+    ]
+
+    def feasible(applied: frozenset[int]) -> bool:
+        removed: set[Constraint] = set()
+        loosened: set[int] = set()
+        dropped: set[tuple[str, str]] = set()
+        for index in applied:
+            entry = compiled[index]
+            removed.update(entry.removes)
+            loosened.update(entry.sites)
+            dropped.update(entry.drops)
+        return probe.feasible(
+            frozenset(removed), frozenset(loosened), frozenset(dropped)
+        )
+
+    return feasible
+
+
+def _rebuild_oracle(
+    dtd: DTD,
+    sigma: list[Constraint],
+    universe: list[_Candidate],
+    config: CheckerConfig,
+    stats: RepairStats,
+) -> Callable[[frozenset[int]], bool]:
+    """The apply-and-recheck edit-set oracle: each probed edit set is
+    applied structurally and decided by one full checker call."""
+    stats.method = "rebuild"
+    probe_config = replace(config, want_witness=False, jobs=1)
+    cache: dict[frozenset[int], bool] = {}
+
+    def feasible(applied: frozenset[int]) -> bool:
+        cached = cache.get(applied)
+        if cached is not None:
+            stats.probe_cache_hits += 1
+            return cached
+        edited_dtd, edited_sigma = apply_repair(
+            dtd, sigma, [universe[index].action for index in sorted(applied)]
+        )
+        result = check_consistency(edited_dtd, edited_sigma, probe_config)
+        stats.merge_checker(result.stats)
+        cache[applied] = result.consistent
+        return result.consistent
+
+    return feasible
+
+
 def minimal_repair(
     dtd: DTD,
     constraints: Iterable[Constraint],
@@ -857,7 +934,6 @@ def minimal_repair(
     *,
     weights: Mapping[RepairAction | str, int] | None = None,
     core_method: str = "quickxplain",
-    toggled: bool = True,
     stats: RepairStats | None = None,
 ) -> Repair:
     """A minimum-weight repair of ``(dtd, Sigma)``.
@@ -867,13 +943,41 @@ def minimal_repair(
     unit weights the result is cardinality-minimal, and ``weights``
     (keyed by action instance or by family name) selects weighted-minimal
     repairs instead.  ``core_method`` picks the core-shrinking filter
-    (``"quickxplain"`` default, ``"deletion"`` reference); ``toggled=False``
-    selects the apply-and-recheck reference engine — one full checker
-    call per probed edit set — kept as the differential oracle.  The
-    returned repair is always applied and re-checked before this function
-    returns; a verification failure raises :class:`SolverError` (it would
-    be an internal probe-exactness bug, never a wrong answer).
+    (``"quickxplain"`` default, ``"deletion"`` reference).  Edit sets are
+    probed by row toggles on one assembled system; outside the unary
+    fragment the search runs on :func:`_minimal_repair_rebuild`'s
+    apply-and-recheck oracle instead.  The returned repair is always
+    applied and re-checked before this function returns; a verification
+    failure raises :class:`SolverError` (it would be an internal
+    probe-exactness bug, never a wrong answer).
     """
+    return _repair_search(dtd, constraints, config, weights, core_method, stats)
+
+
+def _minimal_repair_rebuild(
+    dtd: DTD,
+    constraints: Iterable[Constraint],
+    config: CheckerConfig | None = None,
+    **options,
+) -> Repair:
+    """:func:`minimal_repair` over the apply-and-recheck oracle alone
+    (``stats.method == "rebuild"``): the differential reference."""
+    return _repair_search(
+        dtd, constraints, config, make_oracle=_rebuild_oracle, **options
+    )
+
+
+def _repair_search(
+    dtd: DTD,
+    constraints: Iterable[Constraint],
+    config: CheckerConfig | None = None,
+    weights: Mapping[RepairAction | str, int] | None = None,
+    core_method: str = "quickxplain",
+    stats: RepairStats | None = None,
+    make_oracle: Callable = _toggle_oracle,
+) -> Repair:
+    """The implicit-hitting-set search over one edit-set oracle (the
+    rebuild oracle stands in when ``make_oracle`` declines)."""
     _require_mus_method(core_method)
     config = config or DEFAULT_CONFIG
     stats = stats if stats is not None else RepairStats()
@@ -883,60 +987,9 @@ def minimal_repair(
     universe = _candidate_universe(dtd, sigma)
     stats.candidates = len(universe)
     weight_list = _resolve_weights(universe, weights)
-
-    feasible = None
-    if _use_toggles(toggled, sigma, config):
-        try:
-            probe = _RepairProbe(dtd, sigma, config, stats)
-        except ComplexityLimitError:
-            probe = None  # union setrep block over cap: rebuild instead
-        if probe is not None:
-            compiled = [
-                _Candidate(
-                    action=candidate.action,
-                    removes=candidate.removes,
-                    sites=(
-                        probe.site_indices(
-                            candidate.action.element_type, candidate.action.child
-                        )
-                        if isinstance(candidate.action, LoosenChild)
-                        else frozenset()
-                    ),
-                    drops=candidate.drops,
-                )
-                for candidate in universe
-            ]
-
-            def feasible(applied: frozenset[int]) -> bool:
-                removed: set[Constraint] = set()
-                loosened: set[int] = set()
-                dropped: set[tuple[str, str]] = set()
-                for index in applied:
-                    entry = compiled[index]
-                    removed.update(entry.removes)
-                    loosened.update(entry.sites)
-                    dropped.update(entry.drops)
-                return probe.feasible(
-                    frozenset(removed), frozenset(loosened), frozenset(dropped)
-                )
-
+    feasible = make_oracle(dtd, sigma, universe, config, stats)
     if feasible is None:
-        stats.method = "rebuild"
-        probe_config = replace(config, want_witness=False, jobs=1)
-        rebuild_cache: dict[frozenset[int], bool] = {}
-
-        def feasible(applied: frozenset[int]) -> bool:
-            cached = rebuild_cache.get(applied)
-            if cached is not None:
-                stats.probe_cache_hits += 1
-                return cached
-            edited_dtd, edited_sigma = apply_repair(
-                dtd, sigma, [universe[index].action for index in sorted(applied)]
-            )
-            result = check_consistency(edited_dtd, edited_sigma, probe_config)
-            stats.merge_checker(result.stats)
-            rebuild_cache[applied] = result.consistent
-            return result.consistent
+        feasible = _rebuild_oracle(dtd, sigma, universe, config, stats)
 
     delete_index: dict[Constraint, int] = {}
     loosen_indices: list[int] = []

@@ -139,7 +139,6 @@ def diagnose(
     spec: "Spec | DTD | tuple",
     *,
     config: CheckerConfig | None = None,
-    toggled: bool = True,
     mus_method: str = "quickxplain",
 ) -> DiagnosticsReport:
     """Specification health: a minimal conflict when inconsistent, the
@@ -149,7 +148,6 @@ def diagnose(
         resolved.dtd,
         list(resolved.constraints),
         config,
-        toggled=toggled,
         mus_method=mus_method,
     )
 
@@ -159,7 +157,6 @@ def mus(
     *,
     config: CheckerConfig | None = None,
     method: str = "quickxplain",
-    toggled: bool = True,
     stats: DiagnosticsStats | None = None,
 ) -> list[Constraint]:
     """A minimal inconsistent subset of the specification's Sigma."""
@@ -169,7 +166,6 @@ def mus(
         list(resolved.constraints),
         config,
         method=method,
-        toggled=toggled,
         stats=stats,
     )
 
@@ -180,7 +176,6 @@ def repair(
     config: CheckerConfig | None = None,
     weights: Mapping | None = None,
     core_method: str = "quickxplain",
-    toggled: bool = True,
     stats: RepairStats | None = None,
 ) -> Repair:
     """A minimum-weight edit making the specification consistent.
@@ -199,6 +194,5 @@ def repair(
         config,
         weights=weights,
         core_method=core_method,
-        toggled=toggled,
         stats=stats,
     )

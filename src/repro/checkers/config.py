@@ -32,11 +32,6 @@ class CheckerConfig:
     lp_prune:
         Prune support branches whose LP relaxation is definitely
         infeasible (sound; large speedup on inconsistent instances).
-    incremental:
-        Use the assemble-once/bound-patch solver core (shared connectivity
-        cut pool, persistent solver state). ``False`` selects the
-        from-scratch reference path — one matrix rebuild per search node —
-        kept for differential testing and ablation.
     exact_warm:
         Warm-start the certified rational simplex: branch-and-bound
         children reuse their parent's factorized basis via dual-simplex
@@ -64,7 +59,6 @@ class CheckerConfig:
     max_setrep_attrs: int = 12
     max_support_nodes: int = 20000
     lp_prune: bool = True
-    incremental: bool = True
     exact_warm: bool = True
     jobs: int = 1
 

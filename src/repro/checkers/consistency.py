@@ -83,7 +83,6 @@ def _keys_only(
         backend=config.backend,
         max_support_nodes=config.max_support_nodes,
         lp_prune=config.lp_prune,
-        incremental=config.incremental,
         exact_warm=config.exact_warm,
     )
     if not result.feasible:  # pragma: no cover - has_valid_tree said yes
@@ -173,7 +172,6 @@ def check_consistency_encoded(
         backend=config.backend,
         max_support_nodes=config.max_support_nodes,
         lp_prune=config.lp_prune,
-        incremental=config.incremental,
         exact_warm=config.exact_warm,
         workspace=workspace,
         jobs=config.jobs,

@@ -200,11 +200,15 @@ def _dtd_block(dtd: DTD) -> _DTDBlock:
 def split_unary(
     constraints: list[Constraint],
 ) -> tuple[list[Key], list[InclusionConstraint], list[NegKey], list[NegInclusion]]:
-    """Split an FK-expanded constraint list by kind, rejecting multi-attribute."""
-    keys: list[Key] = []
-    inclusions: list[InclusionConstraint] = []
-    neg_keys: list[NegKey] = []
-    neg_inclusions: list[NegInclusion] = []
+    """Split an FK-expanded constraint list by kind, rejecting multi-attribute.
+
+    Duplicates are dropped keeping first-occurrence order (hashed, so the
+    split is linear in ``|Sigma|``).
+    """
+    keys: dict[Key, None] = {}
+    inclusions: dict[InclusionConstraint, None] = {}
+    neg_keys: dict[NegKey, None] = {}
+    neg_inclusions: dict[NegInclusion, None] = {}
     for phi in constraints:
         if not phi.is_unary():
             raise InvalidConstraintError(
@@ -212,22 +216,18 @@ def split_unary(
                 f"(Theorem 3.1 makes the multi-attribute problem undecidable): {phi}"
             )
         if isinstance(phi, Key):
-            if phi not in keys:
-                keys.append(phi)
+            keys[phi] = None
         elif isinstance(phi, InclusionConstraint):
-            if phi not in inclusions:
-                inclusions.append(phi)
+            inclusions[phi] = None
         elif isinstance(phi, NegKey):
-            if phi not in neg_keys:
-                neg_keys.append(phi)
+            neg_keys[phi] = None
         elif isinstance(phi, NegInclusion):
-            if phi not in neg_inclusions:
-                neg_inclusions.append(phi)
+            neg_inclusions[phi] = None
         elif isinstance(phi, ForeignKey):  # pragma: no cover - expanded earlier
             raise InvalidConstraintError("foreign keys must be expanded first")
         else:
             raise InvalidConstraintError(f"unknown constraint {phi!r}")
-    return keys, inclusions, neg_keys, neg_inclusions
+    return list(keys), list(inclusions), list(neg_keys), list(neg_inclusions)
 
 
 def build_encoding(

@@ -78,7 +78,7 @@ import os
 import queue
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from repro.budget import check_deadline
@@ -98,7 +98,6 @@ from repro.ilp.model import (
     VarId,
     canonical_coeffs,
 )
-from repro.ilp.scipy_backend import lp_infeasible, solve_milp_certified
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ class CondSolveStats:
     cuts_added: int = 0
     lp_prunes: int = 0
     shortcut_hit: bool = False
-    #: Full matrix assemblies performed (1 on the incremental path).
+    #: Full matrix assemblies performed (1 per solve without a workspace).
     assemblies: int = 0
     #: Solves served by patching the assembled system's bound arrays.
     bound_patch_solves: int = 0
@@ -226,44 +225,6 @@ class CondSolveStats:
                 setattr(self, name, current or bool(value))
             else:
                 setattr(self, name, current + int(value))
-
-
-def _leaf_rows(
-    cs: ConditionalSystem, assignment: Mapping[str, bool]
-) -> LinearSystem:
-    """The plain ILP once every element type's support is decided.
-
-    This is the from-scratch (``incremental=False``) construction, kept as
-    the reference the bound-patching path is differentially tested against.
-    """
-    leaf = cs.base.copy()
-    for tau, present in assignment.items():
-        ext = cs.ext_var[tau]
-        if present:
-            leaf.add_ge({ext: 1}, 1, label=f"support:{tau}")
-            for var in cs.requires_if_present.get(tau, ()):
-                leaf.add_ge({var: 1}, 1, label=f"attr-total:{tau}")
-        else:
-            leaf.add_eq({ext: 1}, 0, label=f"absent:{tau}")
-    return leaf
-
-
-def _partial_rows(
-    cs: ConditionalSystem, assignment: Mapping[str, bool | None]
-) -> LinearSystem:
-    """Relaxation used for pruning: only decided supports constrained."""
-    partial = cs.base.copy()
-    for tau, decided in assignment.items():
-        if decided is None:
-            continue
-        ext = cs.ext_var[tau]
-        if decided:
-            partial.add_ge({ext: 1}, 1)
-            for var in cs.requires_if_present.get(tau, ()):
-                partial.add_ge({var: 1}, 1)
-        else:
-            partial.add_eq({ext: 1}, 0)
-    return partial
 
 
 def _bound_patches(
@@ -1069,17 +1030,6 @@ def _init_branch_worker(payload: tuple) -> None:
     _BRANCH_WORKER["workspace"] = SolveWorkspace(cs.base)
 
 
-#: Exception classes a worker may legitimately raise, shipped back by
-#: name so the parent can decide *after* the wave whether a sibling's
-#: feasible verdict makes the error moot (a feasible answer is sound
-#: regardless of what happened on other branches).
-_RAISABLE = {
-    "ComplexityLimitError": ComplexityLimitError,
-    "SolverError": SolverError,
-    "BudgetExceededError": BudgetExceededError,
-}
-
-
 def _branch_task(task: tuple) -> tuple:
     """Solve one frontier subproblem inside a worker process.
 
@@ -1223,68 +1173,6 @@ def _propagate_indexed(
     return not conflict
 
 
-def _propagate(
-    cs: ConditionalSystem, assignment: dict[str, bool | None]
-) -> bool:
-    """Unit-propagate support clauses; False on conflict.
-
-    Reference implementation (rescan to fixpoint), kept for the
-    ``incremental=False`` path and as the differential oracle for
-    :func:`_propagate_indexed`.
-    """
-    changed = True
-    while changed:
-        changed = False
-        for clause in cs.clauses:
-            if assignment.get(clause.premise) is not True:
-                continue
-            if any(assignment.get(a) is True for a in clause.alternatives):
-                continue
-            open_alts = [
-                a for a in clause.alternatives if assignment.get(a) is None
-            ]
-            if not open_alts:
-                return False
-            if len(open_alts) == 1:
-                assignment[open_alts[0]] = True
-                changed = True
-    return True
-
-
-def _solve_leaf(
-    cs: ConditionalSystem,
-    leaf: LinearSystem,
-    solve: Callable[[LinearSystem], SolveResult],
-    stats: CondSolveStats,
-    max_cut_rounds: int,
-) -> SolveResult:
-    """Solve a from-scratch leaf ILP, iterating connectivity cuts locally.
-
-    Used by the ``incremental=False`` reference path; cuts found here are
-    discarded when the leaf is abandoned.
-    """
-    for _ in range(max_cut_rounds):
-        stats.leaves_solved += 1
-        stats.assemblies += 1
-        result = solve(leaf)
-        if not result.feasible:
-            return result
-        unreachable = _unreachable_positive(cs, result.values)
-        if not unreachable:
-            return result
-        cut = _connectivity_cut(cs, unreachable)
-        if not cut:
-            # No occurrence site can ever feed U from outside: with these
-            # supports fixed positive, no tree exists.
-            return SolveResult(
-                "infeasible",
-                message=f"positive types {sorted(unreachable)} cannot be connected",
-            )
-        stats.cuts_added += 1
-        leaf.add_ge(cut, 1, label=f"connect:{','.join(sorted(unreachable)[:4])}")
-    raise SolverError("connectivity cut loop did not converge")
-
-
 def _solve_leaf_exact_cold(
     assembled: AssembledSystem,
     patches: Mapping[VarId, BoundPatch],
@@ -1374,41 +1262,12 @@ def _solve_leaf_assembled(
     raise SolverError("connectivity cut loop did not converge")
 
 
-def _make_solver(
-    backend: str, exact_warm: bool, stats: CondSolveStats
-) -> Callable[[LinearSystem], SolveResult]:
-    """A robust solve function: scipy with exact fallback, or exact only.
-
-    ``exact_warm`` selects basis reuse *within* each certified solve (the
-    rebuild path constructs a fresh system per leaf, so there is no state
-    to carry across calls); work counters land in ``stats``.
-    """
-    if backend not in ("exact", "scipy"):
-        raise SolverError(f"unknown backend {backend!r}")
-
-    def solve(system: LinearSystem) -> SolveResult:
-        exact_stats = ExactStats()
-        if backend == "exact":
-            result = solve_exact(system, warm=exact_warm, stats=exact_stats)
-        else:
-            result = solve_milp_certified(
-                system, exact_warm=exact_warm, exact_stats=exact_stats
-            )
-        stats.exact_nodes += exact_stats.nodes
-        stats.exact_pivots += exact_stats.pivots
-        stats.exact_warm_solves += exact_stats.warm_solves
-        return result
-
-    return solve
-
-
 def solve_conditional_system(
     cs: ConditionalSystem,
     backend: str = "scipy",
     max_support_nodes: int = 20000,
     max_cut_rounds: int = 200,
     lp_prune: bool = True,
-    incremental: bool = True,
     exact_warm: bool = True,
     active_rows: frozenset[int] | None = None,
     workspace: SolveWorkspace | None = None,
@@ -1460,12 +1319,10 @@ def solve_conditional_system(
     index across calls — the diagnostics batch shape: one assembly, many
     row subsets.
 
-    ``incremental=False`` selects the from-scratch reference path (one
-    matrix assembly per solve, no cut sharing; deactivated rows are
-    dropped from the rebuilt systems); ``exact_warm=False`` selects the
-    cold per-node refactorization path of the certified backend.  All
-    exist for differential testing and ablation, and must always agree
-    with the defaults.
+    ``exact_warm=False`` selects the cold per-node refactorization path
+    of the certified backend, the ablation the warm path must agree
+    with.  The from-scratch reference search lives in
+    :func:`repro.oracles.solve_rebuild`.
 
     >>> sys = LinearSystem()
     >>> blocked = sys.add_eq({("ext", "r"): 1}, 0, label="toggle-me")
@@ -1506,41 +1363,33 @@ def solve_conditional_system(
         assignment[tau] = False
     assignment[cs.root] = True
 
-    if incremental:
-        try:
-            return _solve_incremental(
-                cs, assignment, backend, max_support_nodes, max_cut_rounds,
-                lp_prune, stats, exact_warm, inactive_rows, workspace,
-                inactive_clauses, jobs,
-            )
-        except WorkerCrashError as crash:
-            # The pool was lost beyond recovery.  Degrade to the
-            # sequential path *from scratch* (partial wave results and
-            # merged cuts are discarded — re-deriving them is the cheap
-            # price of the byte-identical-to-``jobs=1`` guarantee).
-            result, seq_stats = solve_conditional_system(
-                cs,
-                backend=backend,
-                max_support_nodes=max_support_nodes,
-                max_cut_rounds=max_cut_rounds,
-                lp_prune=lp_prune,
-                incremental=incremental,
-                exact_warm=exact_warm,
-                active_rows=active_rows,
-                workspace=workspace,
-                inactive_clauses=inactive_clauses,
-                jobs=1,
-            )
-            seq_stats.parallel_degraded = True
-            seq_stats.workers_crashed += crash.crashes
-            seq_stats.workers_respawned += crash.respawns
-            return result, seq_stats
-    # The from-scratch reference path stays sequential regardless of
-    # ``jobs`` — it exists to be the simplest possible oracle.
-    return _solve_rebuild(
-        cs, assignment, backend, max_support_nodes, max_cut_rounds,
-        lp_prune, stats, exact_warm, inactive_rows, inactive_clauses,
-    )
+    try:
+        return _solve_incremental(
+            cs, assignment, backend, max_support_nodes, max_cut_rounds,
+            lp_prune, stats, exact_warm, inactive_rows, workspace,
+            inactive_clauses, jobs,
+        )
+    except WorkerCrashError as crash:
+        # The pool was lost beyond recovery.  Degrade to the sequential
+        # path *from scratch* (partial wave results and merged cuts are
+        # discarded — re-deriving them is the cheap price of the
+        # byte-identical-to-``jobs=1`` guarantee).
+        result, seq_stats = solve_conditional_system(
+            cs,
+            backend=backend,
+            max_support_nodes=max_support_nodes,
+            max_cut_rounds=max_cut_rounds,
+            lp_prune=lp_prune,
+            exact_warm=exact_warm,
+            active_rows=active_rows,
+            workspace=workspace,
+            inactive_clauses=inactive_clauses,
+            jobs=1,
+        )
+        seq_stats.parallel_degraded = True
+        seq_stats.workers_crashed += crash.crashes
+        seq_stats.workers_respawned += crash.respawns
+        return result, seq_stats
 
 
 def _branching_order(cs: ConditionalSystem) -> list[str]:
@@ -1554,6 +1403,16 @@ def _branching_order(cs: ConditionalSystem) -> list[str]:
         cs.element_types,
         key=lambda tau: (tau not in involved, position[tau]),
     )
+
+
+def _next_undecided(
+    order: Sequence[str], current: Mapping[str, bool | None]
+) -> str | None:
+    """The first type in branching ``order`` whose support is undecided."""
+    for tau in order:
+        if current[tau] is None:
+            return tau
+    return None
 
 
 def _maximal_support(
@@ -1597,7 +1456,6 @@ def _solve_incremental(
         if workspace is not None
         else _ClauseIndex(cs.clauses)
     )
-    maximal_view: dict[str, bool | None] | None | str = "unset"
     base_maximal: dict[str, bool | None] | None = None
     use_closure = workspace is not None
     active_toggle_clauses: tuple[int, ...] = ()
@@ -1688,21 +1546,21 @@ def _solve_incremental(
 
     # Shortcut: the maximal support (everything not forced out present) is
     # often feasible and found in one leaf solve.
-    if maximal_view == "unset":
-        if use_closure:
-            # The cached all-present completion is fully decided; only the
-            # probe's active toggleable clauses still need a conflict scan.
-            if base_maximal is not None and _propagate_indexed(
-                clause_index, dict(base_maximal), [], stats,
-                inactive_clauses, active_toggle_clauses,
-            ):
-                maximal_view = dict(base_maximal)
-            else:
-                maximal_view = None
+    maximal_view: dict[str, bool | None] | None
+    if use_closure:
+        # The cached all-present completion is fully decided; only the
+        # probe's active toggleable clauses still need a conflict scan.
+        if base_maximal is not None and _propagate_indexed(
+            clause_index, dict(base_maximal), [], stats,
+            inactive_clauses, active_toggle_clauses,
+        ):
+            maximal_view = dict(base_maximal)
         else:
-            maximal_view = _maximal_support(
-                cs, clause_index, assignment, stats, inactive_clauses
-            )
+            maximal_view = None
+    else:
+        maximal_view = _maximal_support(
+            cs, clause_index, assignment, stats, inactive_clauses
+        )
     if maximal_view is not None:
         result = _solve_leaf_assembled(
             cs, assembled, pool, maximal_view, backend, stats,  # type: ignore[arg-type]
@@ -1784,13 +1642,6 @@ def _dfs_search(
     just probed the identical relaxation (the root LP probe).
     """
     order = _branching_order(cs)
-
-    def undecided(current: Mapping[str, bool | None]) -> str | None:
-        for tau in order:
-            if current[tau] is None:
-                return tau
-        return None
-
     first_node = True
     while stack:
         current, decided = stack.pop()
@@ -1827,7 +1678,7 @@ def _dfs_search(
                 first_node = False
                 continue
         first_node = False
-        choice = undecided(current)
+        choice = _next_undecided(order, current)
         if choice is None:
             result = _solve_leaf_assembled(
                 cs, assembled, pool, current, backend, stats,  # type: ignore[arg-type]
@@ -1869,18 +1720,11 @@ def _frontier(
     subtree DFS, or the sequential fallback) pops them.
     """
     order = _branching_order(cs)
-
-    def undecided(current: Mapping[str, bool | None]) -> str | None:
-        for tau in order:
-            if current[tau] is None:
-                return tau
-        return None
-
     pending: list[dict[str, bool | None]] = [dict(assignment)]
     decided: list[dict[str, bool | None]] = []
     while pending and len(pending) + len(decided) < target:
         current = pending.pop(0)
-        choice = undecided(current)
+        choice = _next_undecided(order, current)
         if choice is None:
             decided.append(current)
             continue
@@ -1977,90 +1821,5 @@ def _solve_parallel(
                 return found
     if pending_error is not None:
         kind, message = pending_error
-        raise _RAISABLE.get(kind, SolverError)(message)
+        raise _rebuild_exception(kind, message)
     return SolveResult("infeasible", message="support search exhausted")
-
-
-def _solve_rebuild(
-    cs: ConditionalSystem,
-    assignment: dict[str, bool | None],
-    backend: str,
-    max_support_nodes: int,
-    max_cut_rounds: int,
-    lp_prune: bool,
-    stats: CondSolveStats,
-    exact_warm: bool,
-    inactive_rows: frozenset[int] = frozenset(),
-    inactive_clauses: frozenset[int] = frozenset(),
-) -> tuple[SolveResult, CondSolveStats]:
-    """From-scratch reference path: rebuild a LinearSystem per node."""
-    if inactive_rows or inactive_clauses:
-        # Deactivated rows and clauses are simply absent from every
-        # rebuilt system — the rebuild twin of the toggles on the hot path.
-        cs = replace(
-            cs,
-            base=cs.base.copy(drop_rows=inactive_rows),
-            clauses=tuple(
-                clause
-                for i, clause in enumerate(cs.clauses)
-                if i not in inactive_clauses
-            ),
-        )
-    solve = _make_solver(backend, exact_warm, stats)
-
-    if not _propagate(cs, assignment):
-        return SolveResult("infeasible", message="support propagation conflict"), stats
-
-    # Shortcut: the maximal support (everything not forced out present) is
-    # often feasible and found in one leaf solve.
-    maximal = dict(assignment)
-    for tau in cs.element_types:
-        if maximal[tau] is None:
-            maximal[tau] = True
-    if _propagate(cs, maximal) and all(v is not None for v in maximal.values()):
-        result = _solve_leaf(
-            cs, _leaf_rows(cs, maximal), solve, stats, max_cut_rounds  # type: ignore[arg-type]
-        )
-        if result.feasible:
-            stats.shortcut_hit = True
-            return result, stats
-
-    order = _branching_order(cs)
-
-    def undecided(current: Mapping[str, bool | None]) -> str | None:
-        for tau in order:
-            if current[tau] is None:
-                return tau
-        return None
-
-    stack: list[dict[str, bool | None]] = [assignment]
-    while stack:
-        current = stack.pop()
-        stats.dfs_nodes += 1
-        if stats.dfs_nodes > max_support_nodes:
-            raise ComplexityLimitError(
-                f"support search exceeded {max_support_nodes} nodes"
-            )
-        check_deadline()
-        if not _propagate(cs, current):
-            continue
-        if lp_prune:
-            stats.assemblies += 1
-            if lp_infeasible(_partial_rows(cs, current)):
-                stats.lp_prunes += 1
-                continue
-        choice = undecided(current)
-        if choice is None:
-            result = _solve_leaf(
-                cs, _leaf_rows(cs, current), solve, stats, max_cut_rounds  # type: ignore[arg-type]
-            )
-            if result.feasible:
-                return result, stats
-            continue
-        with_false = dict(current)
-        with_false[choice] = False
-        with_true = dict(current)
-        with_true[choice] = True
-        stack.append(with_false)
-        stack.append(with_true)
-    return SolveResult("infeasible", message="support search exhausted"), stats

@@ -48,9 +48,11 @@ __all__ = [
     "unpack_value",
 ]
 
-#: Bump on any change to the payload shape; a mismatched snapshot is
-#: silently treated as absent (cold start), never migrated in place.
-SNAPSHOT_VERSION = 1
+#: Bump on any change to the payload shape — response-cache key tuples
+#: and the packed :class:`CheckerConfig` fields included; a mismatched
+#: snapshot is silently treated as absent (cold start), never migrated
+#: in place.
+SNAPSHOT_VERSION = 2
 
 
 # -- value packing -----------------------------------------------------------

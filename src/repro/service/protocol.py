@@ -19,14 +19,20 @@ error::
 
 Operations: ``open`` (admit/refresh a session, returns its identity
 card), ``check``, ``implies`` (one ``phi``), ``implies_all`` (a ``phis``
-list, answered as one coalesced batch), ``diagnose``, ``repair`` (a
-minimum-weight consistency-restoring edit; optional ``core_method``,
-``rebuild`` and a ``weights`` object mapping action family to a
-positive integer cost), ``validate`` (a
-``document``), ``export_cuts`` / ``adopt_cuts`` (the fleet's
-wave-boundary cut sync: portable connectivity-cut records out of and
-into the session pool), ``stats`` (registry + server counters) and
-``shutdown``.
+list, answered as one coalesced batch), ``diagnose`` (optional
+``mus_method``), ``repair`` (a minimum-weight consistency-restoring
+edit; optional ``core_method`` and a ``weights`` object mapping action
+family to a positive integer cost), ``validate`` (a ``document``),
+``export_cuts`` / ``adopt_cuts`` (the fleet's wave-boundary cut sync:
+portable connectivity-cut records out of and into the session pool),
+``stats`` (registry + server counters) and ``shutdown``.
+
+Solving operations take an optional ``config`` object of
+:class:`~repro.checkers.config.CheckerConfig` field overrides; an
+unknown field name is answered with a structured ``unknown config
+override(s)`` error.  Request fields an operation does not read are
+ignored: a ``rebuild`` field on ``diagnose``, for instance, changes no
+answer byte.
 Responses may arrive out of request order when requests from one
 connection overlap — the ``id`` is the correlation key.
 
@@ -123,7 +129,6 @@ def perform(session: SpecSession, request: dict) -> dict:
     if op == "diagnose":
         return session.diagnose(
             config,
-            rebuild=bool(request.get("rebuild", False)),
             mus_method=request.get("mus_method", "quickxplain"),
         )
     if op == "repair":
@@ -133,7 +138,6 @@ def perform(session: SpecSession, request: dict) -> dict:
         return session.repair(
             config,
             core_method=request.get("core_method", "quickxplain"),
-            rebuild=bool(request.get("rebuild", False)),
             weights=weights,
         )
     if op == "validate":

@@ -437,14 +437,13 @@ class SpecSession:
     def diagnose(
         self,
         config: dict | None = None,
-        rebuild: bool = False,
         mus_method: str = "quickxplain",
     ) -> dict:
         """Specification health report (MUS / redundancy audit)."""
         with self._lock:
             self.stats.requests += 1
             effective = self._effective_config(config)
-            key = ("diagnose", bool(rebuild), mus_method, effective)
+            key = ("diagnose", mus_method, effective)
             cached = self._recall(key)
             if cached is not None:
                 return cached
@@ -452,7 +451,6 @@ class SpecSession:
                 report = api.diagnose(
                     self.spec,
                     config=effective,
-                    toggled=not rebuild,
                     mus_method=mus_method,
                 )
             payload = {
@@ -469,7 +467,6 @@ class SpecSession:
         self,
         config: dict | None = None,
         core_method: str = "quickxplain",
-        rebuild: bool = False,
         weights: dict | None = None,
     ) -> dict:
         """A minimum-weight repair of the session's specification.
@@ -477,14 +474,14 @@ class SpecSession:
         ``weights`` is the wire form of the engine's weight mapping:
         action-family name (``"delete"`` / ``"loosen"`` / ``"drop"``)
         to a positive integer.  Responses are cached like every other
-        op — the key covers the filter, the engine, the weights and the
+        op — the key covers the filter, the weights and the
         effective config, so a repeat is a byte replay.
         """
         with self._lock:
             self.stats.requests += 1
             effective = self._effective_config(config)
             weight_key = tuple(sorted((weights or {}).items()))
-            key = ("repair", core_method, bool(rebuild), weight_key, effective)
+            key = ("repair", core_method, weight_key, effective)
             cached = self._recall(key)
             if cached is not None:
                 return cached
@@ -495,7 +492,6 @@ class SpecSession:
                         config=effective,
                         weights=weights,
                         core_method=core_method,
-                        toggled=not rebuild,
                     )
             except ValueError as exc:
                 # A bad weights mapping is a client error, not a crash:

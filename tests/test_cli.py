@@ -97,13 +97,6 @@ class TestCheck:
         assert "consistent: False" in out
         assert "exact_pivots=" in out
 
-    def test_exact_cold_ablation_agrees(self, d1_file, sigma1_file, capsys):
-        warm = main(["check", d1_file, sigma1_file, "--backend", "exact"])
-        cold = main(
-            ["check", d1_file, sigma1_file, "--backend", "exact", "--cold"]
-        )
-        assert warm == cold == 1
-
 
 class TestValidate:
     def test_valid_document(self, d1_file, keys_file, tmp_path, capsys):

@@ -2,9 +2,9 @@
 
 The incremental path (assembled system, shared connectivity-cut pool, root
 LP probe, indexed propagation) must return exactly the same feasibility
-answers — with valid witnesses — as the from-scratch rebuild path across
-the workload generators.  These tests are the contract that keeps the two
-paths interchangeable.
+answers — with valid witnesses — as the from-scratch rebuild oracle
+(:mod:`repro.oracles`) across the workload generators.  These tests are
+the contract that keeps the two interchangeable.
 """
 
 import pytest
@@ -24,12 +24,17 @@ from repro.ilp.condsys import (
     _ClauseIndex,
     _CutPool,
     _ExactTwin,
-    _propagate,
     _propagate_indexed,
     CondSolveStats,
     solve_conditional_system,
 )
 from repro.ilp.model import LinearSystem
+from repro.oracles import (
+    REBUILD_METHOD,
+    check_consistency_rebuild,
+    propagate_rescan,
+    solve_rebuild,
+)
 from repro.workloads.generators import (
     fixed_dtd_constraint_family,
     keys_only_family,
@@ -40,18 +45,16 @@ from repro.workloads.generators import (
 )
 
 INCREMENTAL = CheckerConfig(want_witness=True, verify_witness=True)
-REBUILD = CheckerConfig(want_witness=True, verify_witness=True, incremental=False)
 INCREMENTAL_FAST = CheckerConfig(want_witness=False)
-REBUILD_FAST = CheckerConfig(want_witness=False, incremental=False)
 
 
 def _agree(dtd, sigma, want_witness=True):
     """Both paths must agree; witnesses are synthesized and re-verified
     (verify_witness raises on any invalid tree), proving realizability."""
-    inc = INCREMENTAL if want_witness else INCREMENTAL_FAST
-    reb = REBUILD if want_witness else REBUILD_FAST
-    a = check_consistency(dtd, sigma, inc)
-    b = check_consistency(dtd, sigma, reb)
+    config = INCREMENTAL if want_witness else INCREMENTAL_FAST
+    a = check_consistency(dtd, sigma, config)
+    b = check_consistency_rebuild(dtd, sigma, config)
+    assert b.method == REBUILD_METHOD
     assert a.consistent == b.consistent, (
         f"incremental={a.consistent} rebuild={b.consistent}: {a.message!r} "
         f"vs {b.message!r}"
@@ -154,11 +157,10 @@ class TestCutFixpoint:
 
     def test_cut_fixpoint_agrees_with_rebuild(self):
         cs = _recursive_cut_system()
-        inc, _ = solve_conditional_system(cs, incremental=True)
-        reb, _ = solve_conditional_system(
-            _recursive_cut_system(), incremental=False
-        )
+        inc, _ = solve_conditional_system(cs)
+        reb, reb_stats = solve_rebuild(_recursive_cut_system())
         assert inc.feasible == reb.feasible
+        assert reb_stats.assemblies >= 1  # the rebuild search really ran
 
     def test_cut_rounds_budget_raises(self):
         from repro.errors import SolverError
@@ -349,7 +351,7 @@ class TestPropagation:
         )
         reference = self._assignment(*start)
         indexed = self._assignment(*start)
-        ok_reference = _propagate(cs, reference)
+        ok_reference = propagate_rescan(cs, reference)
         stats = CondSolveStats()
         seeds = [sym for sym, val in indexed.items() if val is not None]
         ok_indexed = _propagate_indexed(_ClauseIndex(clauses), indexed, seeds, stats)

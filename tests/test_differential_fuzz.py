@@ -9,8 +9,9 @@ are decided by every solver configuration the checkers can run:
   branch-and-bound node (the reference the warm path must match);
 * ``highs-inc``    — HiGHS float solves on the assembled system with
   exact re-verification (the default production path);
-* ``legacy-reb``   — from-scratch rebuild per support node (PR-1's
-  reference path).
+* ``legacy-reb``   — from-scratch rebuild per support node
+  (:func:`repro.oracles.check_consistency_rebuild`, the reference
+  oracle).
 
 Every instance must get the *same* sat/unsat verdict from all four, and
 each "consistent" answer is backed by a synthesized witness re-verified
@@ -34,6 +35,7 @@ from repro.checkers.config import CheckerConfig
 from repro.checkers.consistency import check_consistency
 from repro.errors import InvalidConstraintError
 from repro.ilp.condsys import parallel_sweep_allowed
+from repro.oracles import REBUILD_METHOD, check_consistency_rebuild
 from repro.workloads.generators import random_dtd, random_unary_constraints
 
 #: The four configurations under differential test.  Witnesses are
@@ -47,12 +49,13 @@ CONFIGS = {
         want_witness=False, backend="exact", exact_warm=False
     ),
     "highs-inc": CheckerConfig(
-        want_witness=True, verify_witness=True, backend="scipy", incremental=True
+        want_witness=True, verify_witness=True, backend="scipy"
     ),
-    "legacy-reb": CheckerConfig(
-        want_witness=False, backend="scipy", incremental=False
-    ),
+    "legacy-reb": CheckerConfig(want_witness=False, backend="scipy"),
 }
+
+#: Configurations decided by the reference oracle instead of the product.
+ORACLE_CONFIGS = frozenset({"legacy-reb"})
 
 CORPUS_PATH = Path(__file__).parent / "data" / "differential_corpus.json"
 
@@ -79,7 +82,11 @@ def _cross_check(seed: int, dtd, sigma) -> str:
     """All four verdicts must agree; returns the agreed verdict."""
     verdicts = {}
     for name, config in CONFIGS.items():
-        result = check_consistency(dtd, sigma, config)
+        if name in ORACLE_CONFIGS:
+            result = check_consistency_rebuild(dtd, sigma, config)
+            assert result.method == REBUILD_METHOD, f"seed {seed}: {name}"
+        else:
+            result = check_consistency(dtd, sigma, config)
         verdicts[name] = result.consistent
     if len(set(verdicts.values())) != 1:
         raise AssertionError(
@@ -134,8 +141,8 @@ def test_configs_cover_the_advertised_matrix():
     assert CONFIGS["exact-warm"].exact_warm
     assert CONFIGS["exact-cold"].backend == "exact"
     assert not CONFIGS["exact-cold"].exact_warm
-    assert CONFIGS["highs-inc"].incremental
-    assert not CONFIGS["legacy-reb"].incremental
+    assert CONFIGS["highs-inc"].backend == "scipy"
+    assert ORACLE_CONFIGS == {"legacy-reb"}
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.constraints.ast import InclusionConstraint, Key, NegInclusion, NegKey
 from repro.constraints.parser import parse_constraints
 from repro.dtd.model import DTD
 from repro.dtd.simplify import simplify_dtd
 from repro.encoding.cardinality import attr_var
-from repro.encoding.combined import build_encoding
+from repro.encoding.combined import build_encoding, split_unary
 from repro.encoding.dtd_system import encode_dtd, ext_var
 from repro.encoding.setrep import (
     build_intersection_pattern_matrix,
@@ -94,6 +95,38 @@ class TestCSigma:
     def test_multiattr_rejected(self, d3, sigma3):
         with pytest.raises(InvalidConstraintError, match="unary"):
             build_encoding(d3, sigma3)
+
+    def test_split_unary_keeps_first_occurrence_order(self):
+        """Hashed dedupe == the list-membership dedupe, order included,
+        so encodings of specs with repeated constraints stay identical."""
+        sigma = parse_constraints(
+            "b.y -> b\na.x <= b.y\na.x -> a\nb.y -> b\na.x !-> a\n"
+            "b.y <= a.x\na.x <= b.y\nb.y !<= a.x\na.x -> a\na.x !-> a\n"
+            "b.y !<= a.x\nb.y <= a.x"
+        )
+        keys, inclusions, neg_keys, neg_inclusions = split_unary(sigma)
+
+        def first_occurrences(kind):
+            seen = [phi for phi in sigma if type(phi) is kind]
+            return [phi for i, phi in enumerate(seen) if phi not in seen[:i]]
+
+        assert keys == first_occurrences(Key)
+        assert [str(phi) for phi in keys] == ["b.y -> b", "a.x -> a"]
+        assert inclusions == first_occurrences(InclusionConstraint)
+        assert [str(phi) for phi in inclusions] == ["a.x <= b.y", "b.y <= a.x"]
+        assert neg_keys == first_occurrences(NegKey)
+        assert neg_inclusions == first_occurrences(NegInclusion)
+
+        d = DTD.build(
+            "r", {"r": "(a*, b*)", "a": "EMPTY", "b": "EMPTY"},
+            attrs={"a": ["x"], "b": ["y"]},
+        )
+        deduped = keys + inclusions + neg_keys + neg_inclusions
+        with_dups = build_encoding(d, sigma).condsys
+        without = build_encoding(d, deduped).condsys
+        assert with_dups.base.rows == without.base.rows
+        assert with_dups.clauses == without.clauses
+        assert with_dups.forced_true == without.forced_true
 
 
 class TestSetRep:

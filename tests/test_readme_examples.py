@@ -11,6 +11,8 @@ import doctest
 import re
 from pathlib import Path
 
+import pytest
+
 README = Path(__file__).parent.parent / "README.md"
 
 
@@ -44,17 +46,26 @@ def test_readme_cli_tour_names_real_subcommands():
 
 
 def test_readme_flags_exist_in_cli():
-    """Every solver flag the README documents parses on `diagnose`."""
+    """Every solver flag the README documents parses on `diagnose`, and
+    the reference-engine switches it no longer documents are rejected."""
     from repro.cli import build_parser
 
     parser = build_parser()
     args = parser.parse_args(
-        ["diagnose", "d.dtd", "s.txt", "--stats", "--rebuild", "--backend",
-         "exact", "--cold", "--jobs", "4"]
+        ["diagnose", "d.dtd", "s.txt", "--stats", "--backend", "exact",
+         "--jobs", "4"]
     )
-    assert args.stats and args.rebuild and args.cold
+    assert args.stats
     assert args.backend == "exact"
     assert args.jobs == 4
+    for argv in (
+        ["diagnose", "d.dtd", "s.txt", "--rebuild"],
+        ["fix", "d.dtd", "--rebuild"],
+        ["check", "d.dtd", "--cold"],
+        ["serve", "--cold"],
+    ):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
 
 
 def test_readme_serving_section_is_executable():

@@ -2,16 +2,14 @@
 
 The toggled repair search (one assembled ``Psi`` with per-site shadow
 rows, probed by row-bound flips; DESIGN.md section 12) must agree with
-the rebuild oracle — ``toggled=False``, which applies every candidate
-edit set structurally and re-runs the full checker — and, on small
+the rebuild oracle — ``_minimal_repair_rebuild``, which applies every
+candidate edit set structurally and re-runs the full checker — and, on small
 universes, with brute-force subset enumeration (the minimality oracle).
 Every repair the engine reports is re-applied here and re-checked
 against the consistency checker, the ultimate ground truth.
 
 The service surface rides along: the ``repair`` wire op must be
-byte-identical through one server and through a fleet, and the
-deprecated MUS entry points must keep answering (with a warning) while
-they delegate to :func:`repro.analysis.diagnostics.mus`.
+byte-identical through one server and through a fleet.
 """
 
 import asyncio
@@ -24,6 +22,7 @@ from repro.analysis.repair import (
     DeleteConstraint,
     RepairStats,
     _candidate_universe,
+    _minimal_repair_rebuild,
     apply_repair,
     minimal_repair,
 )
@@ -120,10 +119,12 @@ def test_repair_matches_rebuild_oracle(start):
         dtd, sigma = _instance(seed)
         try:
             toggled = minimal_repair(dtd, sigma)
-            rebuild = minimal_repair(dtd, sigma, toggled=False)
+            rebuild_stats = RepairStats()
+            rebuild = _minimal_repair_rebuild(dtd, sigma, stats=rebuild_stats)
         except (InvalidConstraintError, ComplexityLimitError):
             continue
         checked += 1
+        assert rebuild_stats.method == "rebuild", f"seed {seed}"
         assert toggled.consistent_before == rebuild.consistent_before, f"seed {seed}"
         assert toggled.found == rebuild.found, f"seed {seed}"
         assert toggled.cost == rebuild.cost, f"seed {seed}"
@@ -285,28 +286,3 @@ def test_repair_wire_op_byte_identical_serve_and_fleet():
         for backend in backends:
             backend.close()
         reference.close()
-
-
-# ---------------------------------------------------------------------------
-# Deprecated MUS entry points: warn, then delegate to mus()
-# ---------------------------------------------------------------------------
-
-
-def test_deprecated_mus_names_warn_and_delegate():
-    from repro.analysis.diagnostics import (
-        minimal_inconsistent_subset,
-        minimal_unsat_core,
-        mus,
-    )
-
-    dtd, sigma = teachers_dtd_d1(), parse_constraints(SIGMA1)
-    expected_qx = sorted(str(phi) for phi in mus(dtd, sigma))
-    expected_del = sorted(
-        str(phi) for phi in mus(dtd, sigma, method="deletion")
-    )
-    with pytest.warns(DeprecationWarning, match="mus"):
-        legacy_qx = minimal_unsat_core(dtd, sigma)
-    with pytest.warns(DeprecationWarning, match="mus"):
-        legacy_del = minimal_inconsistent_subset(dtd, sigma)
-    assert sorted(str(phi) for phi in legacy_qx) == expected_qx
-    assert sorted(str(phi) for phi in legacy_del) == expected_del

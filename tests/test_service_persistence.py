@@ -18,6 +18,7 @@ import time
 from repro.dtd.serializer import dtd_to_string
 from repro.service.persist import (
     SNAPSHOT_VERSION,
+    _checksum,
     load_snapshot,
     save_snapshot,
 )
@@ -136,6 +137,42 @@ def test_version_skew_restores_nothing(tmp_path):
         json.dump(envelope, handle)
     registry = SessionRegistry()
     assert load_snapshot(registry, state) == 0
+
+
+def _with_legacy_config_field(packed):
+    """A packed value with ``incremental`` added to every packed config —
+    the shape version-1 snapshots stored, before the field was removed."""
+    if isinstance(packed, list):
+        if len(packed) == 2 and packed[0] == "config":
+            return ["config", {**packed[1], "incremental": True}]
+        return [_with_legacy_config_field(item) for item in packed]
+    return packed
+
+
+def test_version_1_snapshot_restores_nothing_and_serves(tmp_path):
+    """A version-1 snapshot (packed configs carrying ``incremental``)
+    restores 0 sessions, and the server started over it answers every
+    request as a fresh one would."""
+    state = str(tmp_path / "sessions.json")
+    requests = _request_suite()
+    before, _ = _serve_and_collect(state, requests)
+    envelope = json.loads(open(state, encoding="utf-8").read())
+    payload = envelope["payload"]
+    for entry in payload["sessions"]:
+        entry["responses"] = [
+            [_with_legacy_config_field(key), rendered]
+            for key, rendered in entry["responses"]
+        ]
+    assert "incremental" in json.dumps(payload)
+    legacy = {"version": 1, "checksum": _checksum(payload), "payload": payload}
+    with open(state, "w", encoding="utf-8") as handle:
+        json.dump(legacy, handle)
+    assert SNAPSHOT_VERSION == 2
+    assert load_snapshot(SessionRegistry(), state) == 0
+
+    after, stats = _serve_and_collect(state, requests)
+    assert stats["server"]["sessions_restored"] == 0
+    assert after == before
 
 
 def test_missing_snapshot_is_a_cold_start(tmp_path):
